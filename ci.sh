@@ -3,11 +3,14 @@
 # Run from the workspace root. Fails fast on the first violation.
 #
 #   ./ci.sh            fmt + clippy + tests + benches compile +
-#                      lint-corpus + miri (when available)
+#                      lint-corpus + miri (when available) + the
+#                      snowbench tests (its own workspace, which
+#                      `--workspace` never builds; includes a 1/100-scale
+#                      smoke run of every benchmark workload)
 #   ./ci.sh telemetry  the focused observability gate: pedantic lints on
 #                      snowplow-telemetry and the golden determinism
 #                      test (identical metric snapshots across worker
-#                      counts and cache modes).
+#                      counts, no cfg-cap hits in a healthy run).
 #   ./ci.sh lint-corpus
 #                      the sp-lint gate alone: the checked-in clean
 #                      corpus file must lint clean, the generator
@@ -28,11 +31,6 @@
 #                      first-fit), the pre-refactor campaign hash
 #                      goldens, the pinned crash-witness regression, and
 #                      the shared-store fleet goldens.
-#   ./ci.sh exec       the focused compiled-executor gate: the
-#                      compiled-vs-interpreted equivalence golden +
-#                      proptest, the campaign/telemetry identity golden,
-#                      and a compile check of the exec_throughput
-#                      microbenches.
 #   ./ci.sh inference  the focused inference gate: tiled-GEMM and
 #                      parallel-matmul kernel-equality tests (bit
 #                      identity at workers 1/2/8), the f16 quantization
@@ -92,16 +90,9 @@ fi
 if [[ "${1:-}" == "corpus" ]]; then
     cargo clippy -p snowplow-corpus --all-targets -- -D warnings
     cargo test -q -p snowplow-corpus
-    cargo test -q -p snowplow-fuzzer --test corpus_golden --test pinned_minset
+    cargo test -q --test corpus_golden
+    cargo test -q -p snowplow-fuzzer --test pinned_minset
     cargo test -q -p snowplow-fleet --test shared_corpus
-    exit 0
-fi
-
-if [[ "${1:-}" == "exec" ]]; then
-    cargo test -q -p snowplow-kernel --test compiled_equiv
-    cargo test -q -p snowplow-fuzzer --lib \
-        compiled_executor_preserves_reports_and_telemetry_bit_identically
-    cargo bench -p snowplow-bench --no-run
     exit 0
 fi
 
@@ -129,6 +120,7 @@ cargo test --workspace -q
 cargo bench --workspace --no-run
 lint_corpus
 run_miri
+cargo test -q --manifest-path snowbench/Cargo.toml
 
 if [[ "${1:-}" == "bench" ]]; then
     baseline="$(mktemp -t bench_baseline.XXXXXX.jsonl)"

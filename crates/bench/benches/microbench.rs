@@ -28,10 +28,8 @@ fn bench_kernel_exec(c: &mut Criterion) {
 }
 
 fn bench_exec_throughput(c: &mut Criterion) {
-    // The compiled-vs-interpreted executor head-to-head on the same
-    // program stream. Both run through `execute_into` with a reused
-    // result buffer — the campaign's zero-alloc hot path — so the delta
-    // is purely the dispatch strategy.
+    // The campaign's zero-alloc hot path: `execute_into` with a reused
+    // result buffer.
     let kernel = Kernel::build(KernelVersion::V6_8);
     let generator = Generator::new(kernel.registry());
     let mut rng = StdRng::seed_from_u64(12);
@@ -41,19 +39,7 @@ fn bench_exec_throughput(c: &mut Criterion) {
     let snap = vm.snapshot();
     let mut buf = snowplow_core::ExecResult::default();
     let mut i = 0;
-    c.bench_function("exec_throughput_compiled", |b| {
-        b.iter(|| {
-            vm.restore(&snap);
-            vm.execute_into(&progs[i % progs.len()], &mut buf);
-            i += 1;
-            buf.trace.len()
-        })
-    });
-
-    let mut vm = Vm::interpreted(&kernel);
-    let snap = vm.snapshot();
-    let mut i = 0;
-    c.bench_function("exec_throughput_interpreted", |b| {
+    c.bench_function("exec_throughput", |b| {
         b.iter(|| {
             vm.restore(&snap);
             vm.execute_into(&progs[i % progs.len()], &mut buf);

@@ -4,10 +4,7 @@
 //!
 //! Guarded metrics are the ones the perf work optimizes for: matmul
 //! GFLOP/s (both measured shapes), the Snowplow/Syzkaller fuzzing
-//! throughput ratio, the compiled/interpreted executor ratio (also held
-//! above an *absolute* floor of 1.0 — the compiled path must never be
-//! slower than the interpreter), the distance-scheduling throughput
-//! ratio, the static-analysis throughput (interval fixpoints and
+//! throughput ratio, the distance-scheduling throughput ratio, the static-analysis throughput (interval fixpoints and
 //! distance maps), the dataset-harvest scaling factor, the saturated
 //! inference-service throughput, and the direct batched-inference
 //! speedup (held above an absolute floor of 1.0 — batching that loses
@@ -33,7 +30,6 @@ const GUARDED: &[&str] = &[
     "matmul_256x256x256.gflops_fast",
     "inference_service.qps",
     "fuzzing.ratio",
-    "fuzzing.compiled_ratio",
     "fuzzing.distance_sched_ratio",
     "analysis.fixpoint_per_sec",
     "analysis.static_distance_per_sec",
@@ -49,7 +45,7 @@ const GUARDED: &[&str] = &[
 /// noise, so the gate is a fixed budget instead: checkpoint+resume may
 /// cost at most 15% over an uninterrupted campaign. The corpus minset
 /// ratio (weighted kept / first-fit kept at equal coverage) is a
-/// correctness-adjacent invariant like the compiled-executor floor: a
+/// correctness-adjacent invariant like the batching floor below: a
 /// weighted minimizer that keeps *more* entries than the scan it
 /// replaced has lost its purpose, whatever the baseline file says.
 const GUARDED_CEILING_ABS: &[(&str, f64)] = &[
@@ -58,12 +54,9 @@ const GUARDED_CEILING_ABS: &[(&str, f64)] = &[
 ];
 
 /// Absolute floors, independent of the baseline file. These encode
-/// invariants, not trends: the compiled executor must actually beat the
-/// interpreter (ratio ≥ 1.0) no matter what the last committed baseline
-/// happened to measure — a relative tolerance would let the win decay
+/// invariants, not trends: a relative tolerance would let a win decay
 /// 20% per commit until it became a loss.
 const GUARDED_FLOOR_ABS: &[(&str, f64)] = &[
-    ("fuzzing.compiled_ratio", 1.0),
     // Batched inference must actually beat per-query inference — the
     // headline claim of the tiled-GEMM work. 0.84 (a loss) was the
     // measured value before the packed-panel kernels landed.

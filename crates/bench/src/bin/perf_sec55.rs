@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use rand::prelude::*;
 use snowplow_bench::day_config;
-use snowplow_core::fuzzing::{Campaign, FuzzerKind};
+use snowplow_core::fuzzing::{Campaign, CorpusConfig, FuzzerKind, SchedulePolicy};
 use snowplow_core::learning::{BatchPolicy, InferenceService, Matrix, QueryGraph};
 use snowplow_core::prelude::Telemetry;
 use snowplow_core::{train_pmm, Dataset, DatasetConfig, Kernel, KernelVersion, Pmm, Scale, Vm};
@@ -555,8 +555,8 @@ fn main() {
         let t = Instant::now();
         let s = Campaign::new(
             &kernel,
-            FuzzerKind::Snowplow {
-                model: Box::new(model.clone()),
+            FuzzerKind::SnowplowShared {
+                client: Box::new(model.clone()),
             },
             cfg.clone(),
         )
@@ -579,40 +579,20 @@ fn main() {
     bench.gauge("fuzzing.snowplow_execs_per_sec", snow_rate);
     bench.gauge("fuzzing.ratio", snow_rate / base_rate);
 
-    // Interpreter cross-check: the same virtual day re-run with the
-    // reference interpreter pinned must produce a fingerprint-identical
-    // report (the campaign-level restatement of the `compiled_equiv`
-    // golden). Its wall-clock rate is informational only — at the
-    // campaign level execution is a small slice of each loop iteration,
-    // so the campaign/campaign ratio sits at 1.0 ± scheduler noise.
-    let mut interp_cfg = day_config(1);
-    interp_cfg.exec.compiled = false;
-    let t = Instant::now();
-    let interp = Campaign::new(&kernel, FuzzerKind::Syzkaller, interp_cfg).run();
-    let interp_rate = interp.execs as f64 / t.elapsed().as_secs_f64();
-    assert_eq!(
-        base.fingerprint(),
-        interp.fingerprint(),
-        "compiled and interpreted campaigns must report identically"
-    );
-    println!("interpreted syzkaller: {interp_rate:.0} tests/s (fingerprint-identical report)");
-    bench.gauge("fuzzing.interpreted_execs_per_sec", interp_rate);
-
-    // Compiled executor win, isolated: the two executors head-to-head
-    // on one program stream through the campaign's zero-alloc
-    // `execute_into` path (the `exec_throughput_*` microbench shape).
-    // This is the quantity the threaded-code compiler optimizes, so it
-    // is what bench_guard floors at an absolute 1.0 — the compiled path
-    // must never be slower than the interpreter it replaced.
-    let exec_probe = |vm: &mut snowplow_core::Vm<'_>| -> f64 {
+    // Executor throughput, isolated: one program stream through the
+    // campaign's zero-alloc `execute_into` path (the `exec_throughput`
+    // microbench shape). Informational — execution is a small slice of
+    // each campaign iteration.
+    let exec_rate = {
+        let mut vm = Vm::new(&kernel);
         let generator = snowplow_prog::gen::Generator::new(kernel.registry());
         let mut rng = StdRng::seed_from_u64(12);
         let progs: Vec<_> = (0..64).map(|_| generator.generate(&mut rng, 6)).collect();
         let snap = vm.snapshot();
         let mut buf = snowplow_core::ExecResult::default();
         let reps = 60_000usize;
-        // Warm up (page in the translation / block table), then time.
-        for (i, _) in (0..reps / 10).enumerate() {
+        // Warm up (page in the block table), then time.
+        for i in 0..reps / 10 {
             vm.restore(&snap);
             vm.execute_into(&progs[i % progs.len()], &mut buf);
         }
@@ -624,32 +604,11 @@ fn main() {
         }
         reps as f64 / t.elapsed().as_secs_f64()
     };
-    let compiled_exec_rate = exec_probe(&mut snowplow_core::Vm::new(&kernel));
-    let interp_exec_rate = exec_probe(&mut snowplow_core::Vm::interpreted(&kernel));
-    let compiled_ratio = compiled_exec_rate / interp_exec_rate;
-    println!(
-        "executor throughput: compiled {compiled_exec_rate:.0}/s vs interpreted {interp_exec_rate:.0}/s — ratio {compiled_ratio:.2}"
-    );
-    bench.gauge("exec.compiled_execs_per_sec", compiled_exec_rate);
-    bench.gauge("exec.interpreted_execs_per_sec", interp_exec_rate);
-    bench.gauge("fuzzing.compiled_ratio", compiled_ratio);
-
-    // Compile-once bookkeeping: the process-wide translation cache.
-    let cstats = snowplow_core::CompileCache::shared().stats();
-    println!(
-        "compile cache: {} miss(es), {} hit(s), {:.2} ms total compile time",
-        cstats.misses,
-        cstats.hits,
-        cstats.compile_time.as_secs_f64() * 1e3
-    );
-    bench.gauge(
-        "exec.compile_time_ms",
-        cstats.compile_time.as_secs_f64() * 1e3,
-    );
-    bench.gauge("exec.compile_cache_hit_rate", cstats.hit_rate());
+    println!("executor throughput: {exec_rate:.0} execs/s");
+    bench.gauge("exec.execs_per_sec", exec_rate);
 
     // Distance-weighted seed scheduling (this reproduction's extension):
-    // the same virtual day with the static scheduler on. The ratio
+    // the same virtual day under `SchedulePolicy::Distance`. The ratio
     // against the stock Syzkaller loop bounds the overhead of the
     // per-coverage-change weight recomputation — gated like
     // `fuzzing.ratio`, a scheduler that stalls the loop fails CI.
@@ -657,7 +616,9 @@ fn main() {
     // the scheduled one, instead of reusing `base_rate` from minutes
     // earlier — the ratio must compare two runs under the same clock.
     let mut sched_cfg = day_config(1);
-    sched_cfg.distance_scheduling = true;
+    sched_cfg.corpus = CorpusConfig::builder()
+        .policy(SchedulePolicy::Distance)
+        .build();
     let mut sched_secs = Vec::new();
     let mut stock_secs = Vec::new();
     let mut sched_opt = None;

@@ -21,8 +21,8 @@ fn main() {
         .build();
     let report = Campaign::new(
         &kernel,
-        FuzzerKind::Snowplow {
-            model: Box::new(model),
+        FuzzerKind::SnowplowShared {
+            client: Box::new(model),
         },
         cfg,
     )

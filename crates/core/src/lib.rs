@@ -19,7 +19,7 @@
 //! println!("PMM eval: {}", report.metrics);
 //! let campaign = Campaign::new(
 //!     &kernel,
-//!     FuzzerKind::Snowplow { model: Box::new(model) },
+//!     FuzzerKind::SnowplowShared { client: Box::new(model) },
 //!     CampaignConfig::default(),
 //! );
 //! let result = campaign.run();
@@ -27,9 +27,8 @@
 //! ```
 
 pub use snowplow_kernel::{
-    BlockId, BugId, BugInfo, BugRegistry, CompileCache, CompileStats, CompiledKernel, Coverage,
-    CrashCategory, CrashInfo, Edge, EdgeSet, Effect, ExecResult, Kernel, KernelVersion, Terminator,
-    Vm,
+    BlockId, BugId, BugInfo, BugRegistry, Coverage, CrashCategory, CrashInfo, Edge, EdgeSet,
+    Effect, ExecResult, Kernel, KernelVersion, Terminator, Vm,
 };
 pub use snowplow_mlcore::Quantize;
 pub use snowplow_pmm::dataset::{Dataset, DatasetConfig, Split};
@@ -43,10 +42,10 @@ pub use snowplow_syslang::{builtin, Registry, SyscallId};
 pub mod fuzzing {
     pub use snowplow_fuzzer::{
         attempt_reproducer, Campaign, CampaignConfig, CampaignConfigBuilder, CampaignReport,
-        CampaignState, Corpus, CorpusConfig, CorpusConfigBuilder, CorpusEntry, CorpusHandle,
-        CorpusStore, CrashLog, CrashRecord, DirectedCampaign, DirectedConfig,
-        DirectedConfigBuilder, DirectedOutcome, FuzzerKind, PendingPrediction, ReproOutcome,
-        RunningCampaign, SchedulePolicy, SeedScheduler, StoreStats, TimelinePoint, VirtualClock,
+        CampaignState, CorpusConfig, CorpusConfigBuilder, CorpusEntry, CorpusHandle, CorpusStore,
+        CrashLog, CrashRecord, DirectedCampaign, DirectedConfig, DirectedConfigBuilder,
+        DirectedOutcome, FuzzerKind, PendingPrediction, ReproOutcome, RunningCampaign,
+        SchedulePolicy, SeedScheduler, StoreStats, TimelinePoint, VirtualClock,
     };
 }
 

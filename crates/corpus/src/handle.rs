@@ -373,18 +373,4 @@ impl CorpusHandle {
     pub fn rarity(&self) -> Vec<u32> {
         self.store.rarity(&self.ids)
     }
-
-    /// Deprecated alias of [`CorpusHandle::install_schedule`].
-    #[deprecated(since = "0.1.0", note = "use `install_schedule`")]
-    pub fn set_schedule_weights(&mut self, weights: Option<Vec<u64>>) {
-        self.install_schedule(weights);
-    }
-
-    /// Deprecated alias of [`CorpusHandle::restore_parts`] for
-    /// pre-store snapshots (no pins, no dedup accounting).
-    #[deprecated(since = "0.1.0", note = "use `restore_parts`")]
-    pub fn from_entries(entries: Vec<CorpusEntry>, sched: Option<Vec<u64>>) -> CorpusHandle {
-        let n = entries.len();
-        CorpusHandle::restore_parts(entries, sched, vec![false; n], 0)
-    }
 }

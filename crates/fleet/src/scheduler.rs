@@ -26,7 +26,6 @@ use snowplow_fuzzer::{
     Campaign, CampaignConfig, CampaignReport, CorpusStore, FuzzerKind, RunningCampaign,
 };
 use snowplow_kernel::Kernel;
-use snowplow_pmm::model::Pmm;
 use snowplow_pmm::server::{InferenceService, ServiceClient};
 use snowplow_telemetry::{MetricsSnapshot, Telemetry};
 
@@ -116,11 +115,6 @@ impl<'k> FleetScheduler<'k> {
     /// campaign id.
     pub fn spawn_baseline(&mut self, config: CampaignConfig) -> u32 {
         self.add_slot(config, |_| FuzzerKind::Syzkaller)
-    }
-
-    /// Spawns a Snowplow campaign with a private model copy.
-    pub fn spawn_snowplow(&mut self, config: CampaignConfig, model: Box<Pmm>) -> u32 {
-        self.add_slot(config, |_| FuzzerKind::Snowplow { model })
     }
 
     /// Spawns a Snowplow campaign whose inference goes through the

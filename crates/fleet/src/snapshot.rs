@@ -15,8 +15,7 @@
 //!
 //! The hot-loop caches are pure functions of the state and are *not*
 //! serialized: a resume rebuilds them cold, provably without observable
-//! effect (the `hot_caches` golden test in `snowplow-fuzzer` and the
-//! resume goldens in this crate's tests pin that down).
+//! effect (the resume goldens in this crate's tests pin that down).
 //!
 //! The wire format follows the repo's checkpoint conventions
 //! (`SNOWPMM1` in `snowplow-mlcore`): an 8-byte magic, a `u32` version,
@@ -30,7 +29,7 @@ use std::io;
 use rand::rngs::StdRng;
 use snowplow_fuzzer::campaign::PendingPrediction;
 use snowplow_fuzzer::{
-    CampaignConfig, CampaignState, Corpus, CorpusEntry, CrashLog, CrashRecord, FuzzerKind,
+    CampaignConfig, CampaignState, CorpusEntry, CorpusHandle, CrashLog, CrashRecord, FuzzerKind,
     RunningCampaign, TimelinePoint, VirtualClock,
 };
 use snowplow_kernel::{
@@ -44,14 +43,15 @@ use crate::codec::{Dec, Enc};
 
 /// File magic: "SNOWFLT1" — Snowplow fleet snapshot, format family 1.
 const MAGIC: &[u8; 8] = b"SNOWFLT1";
-/// Format version; bump on any layout change. v2 added
-/// `exec.compiled` to the serialized config. v3 added the shared-corpus
+/// Format version; bump on any layout change. v3 added the shared-corpus
 /// fields: per-entry `exec_time_ns` and pin flag, the handle's dedup
 /// hit count, and the seed-scheduling policy tag in the config. (The
 /// shared store itself is never serialized — on resume each campaign
 /// re-attaches its view and the store contents are exactly the union of
-/// the reattached views.)
-const VERSION: u32 = 3;
+/// the reattached views.) v4 dropped three config bools (the hot-cache,
+/// distance-scheduling and compiled-executor switches); the policy tag
+/// is now the only scheduling setting.
+const VERSION: u32 = 4;
 
 /// Everything needed to resume a campaign where it left off.
 #[derive(Clone)]
@@ -171,9 +171,6 @@ fn enc_config(e: &mut Enc, c: &CampaignConfig) {
     e.usize(c.exec.workers);
     e.usize(c.max_pending_predictions);
     e.usize(c.guided_use_multiplier);
-    e.bool(c.hot_caches);
-    e.bool(c.distance_scheduling);
-    e.bool(c.exec.compiled);
     e.u8(c.corpus.policy.to_tag());
 }
 
@@ -197,9 +194,6 @@ fn dec_config(d: &mut Dec<'_>) -> io::Result<CampaignConfig> {
     c.exec.workers = d.usize()?;
     c.max_pending_predictions = d.usize()?;
     c.guided_use_multiplier = d.usize()?;
-    c.hot_caches = d.bool()?;
-    c.distance_scheduling = d.bool()?;
-    c.exec.compiled = d.bool()?;
     let tag = d.u8()?;
     let policy = snowplow_fuzzer::SchedulePolicy::from_tag(tag)
         .ok_or_else(|| Dec::error(&format!("invalid SchedulePolicy tag {tag}")))?;
@@ -335,7 +329,7 @@ fn dec_state(d: &mut Dec<'_>) -> io::Result<CampaignState> {
     // Restored over a private store; a shared-corpus resume re-attaches
     // the view when `RunningCampaign` is rebuilt with the store in its
     // config.
-    let corpus = Corpus::restore_parts(entries, sched, pinned, dedup_hits);
+    let corpus = CorpusHandle::restore_parts(entries, sched, pinned, dedup_hits);
 
     let blocks = Coverage::from_words(dec_words(d)?);
     let n_rows = d.len(8)?;
@@ -841,10 +835,20 @@ mod tests {
         let mut bad = bytes.clone();
         bad[8] = b'X';
         assert!(CampaignSnapshot::from_bytes(&bad).is_err());
-        // Bad version.
-        let mut bad = bytes.clone();
-        bad[16] = 0xFF;
-        assert!(CampaignSnapshot::from_bytes(&bad).is_err());
+        // Bad version: an unknown one, and v3 (which still carried the
+        // three removed config bools).
+        for version in [0xFFu32, 3] {
+            let mut bad = bytes.clone();
+            bad[16..20].copy_from_slice(&version.to_le_bytes());
+            let err = CampaignSnapshot::from_bytes(&bad)
+                .err()
+                .expect("bad version rejected");
+            assert!(
+                err.to_string()
+                    .contains(&format!("unsupported snapshot version {version}")),
+                "{err}"
+            );
+        }
         // Truncation at every 97th byte must error, never panic.
         for cut in (0..bytes.len()).step_by(97) {
             assert!(CampaignSnapshot::from_bytes(&bytes[..cut]).is_err());

@@ -130,10 +130,11 @@ fn shared_inference_resume_is_bit_identical() {
 #[test]
 fn owned_and_shared_inference_agree() {
     // The shared service serves the same deterministic model, so a
-    // campaign gets identical predictions through either path.
+    // campaign gets identical predictions from the in-process model and
+    // from the service.
     let owned = uninterrupted(
-        FuzzerKind::Snowplow {
-            model: Box::new(model()),
+        FuzzerKind::SnowplowShared {
+            client: Box::new(model()),
         },
         11,
         2,

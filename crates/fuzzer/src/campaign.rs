@@ -16,10 +16,9 @@ use std::time::Duration;
 
 use rand::prelude::*;
 use snowplow_analysis::PrunedCfg;
-use snowplow_corpus::{scheduler_for, CorpusConfig, ScheduleContext, SchedulePolicy};
+use snowplow_corpus::{scheduler_for, CorpusConfig, CorpusHandle, ScheduleContext, SchedulePolicy};
 use snowplow_kernel::{BlockId, Coverage, EdgeSet, ExecResult, Kernel, Snapshot, Vm};
 use snowplow_pmm::graph::QueryGraph;
-use snowplow_pmm::model::Pmm;
 use snowplow_pmm::server::{InferenceClient, ServeError};
 use snowplow_pool::ExecConfig;
 use snowplow_prog::gen::Generator;
@@ -27,29 +26,22 @@ use snowplow_prog::{ArgLoc, Mutator, Prog};
 use snowplow_telemetry::{Phase, Telemetry};
 
 use crate::clock::VirtualClock;
-use crate::corpus::Corpus;
 use crate::crash::CrashLog;
 
 /// Which fuzzer runs the campaign.
 pub enum FuzzerKind {
     /// Stock Syzkaller-style fuzzing.
     Syzkaller,
-    /// PMM-guided argument localization (the model is owned by the
-    /// campaign; inference latency is accounted in virtual time).
-    Snowplow {
-        /// The trained localizer.
-        model: Box<Pmm>,
-    },
-    /// PMM-guided localization through a *shared* inference tier: the
-    /// campaign holds a tagged client handle instead of owning the
-    /// model — the fleet deployment of §3.4/§4, where one service
-    /// amortizes across many campaigns. Virtual-latency accounting is
-    /// identical to the owned-model mode, and so are the scores
+    /// PMM-guided argument localization through an [`InferenceClient`]:
+    /// the in-process model (`Box::new(pmm)`) or a tagged handle to a
+    /// shared inference service — the fleet deployment of §3.4/§4, where
+    /// one service amortizes across many campaigns. Virtual-latency
+    /// accounting is the same for every client, and so are the scores
     /// (batched serving is bit-identical to direct prediction), so a
-    /// shared-tier campaign reports exactly what an owned-model
-    /// campaign with the same weights would.
+    /// shared-tier campaign reports exactly what an in-process one with
+    /// the same weights would.
     SnowplowShared {
-        /// Tagged handle to the shared service.
+        /// The localizer: a model or a handle to a service.
         client: Box<dyn InferenceClient>,
     },
 }
@@ -58,7 +50,6 @@ impl std::fmt::Debug for FuzzerKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             FuzzerKind::Syzkaller => "Syzkaller",
-            FuzzerKind::Snowplow { .. } => "Snowplow",
             FuzzerKind::SnowplowShared { .. } => "SnowplowShared",
         })
     }
@@ -99,9 +90,9 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Execution context: worker threads sharding the embarrassingly-
     /// parallel phases (seed-corpus generation; see also
-    /// [`Corpus::minimize`] — every seed program draws from its own RNG
-    /// stream and results merge in program order, so the report is
-    /// identical for any worker count) and the telemetry destination.
+    /// [`CorpusHandle::minimize`] — every seed program draws from its
+    /// own RNG stream and results merge in program order, so the report
+    /// is identical for any worker count) and the telemetry destination.
     /// Metric snapshots are likewise identical for any worker count:
     /// every event is recorded from the sequential portions of the loop
     /// in virtual time.
@@ -115,25 +106,13 @@ pub struct CampaignConfig {
     /// locations is used for `n * guided_use_multiplier` (at least
     /// `guided_use_multiplier`) argument mutations before expiring.
     pub guided_use_multiplier: usize,
-    /// Enables the hot-loop caches (per-entry frontier lists keyed on a
-    /// global coverage epoch; memoized graph build + prediction per
-    /// (base, target-set) key). Reports are bit-identical either way —
-    /// the flag exists so the golden-equivalence tests can prove it.
-    pub hot_caches: bool,
-    /// Enables static distance-to-frontier seed scheduling: corpus
-    /// entries whose coverage sits close (over the interval-pruned CFG,
-    /// see [`snowplow_analysis::PrunedCfg`]) to an uncovered frontier
-    /// block are weighted up in [`Corpus::choose`]. Off by default —
-    /// with the flag off the campaign never touches the analysis
-    /// scheduler and reports are bit-identical to earlier builds (the
-    /// golden test below proves it).
-    pub distance_scheduling: bool,
     /// Corpus behavior: seed-selection policy and (optionally) a shared
     /// [`CorpusStore`](snowplow_corpus::CorpusStore) to ingest into.
     /// The default (`Contribution` policy, private store) is
-    /// bit-identical to the historical per-campaign corpus. When
-    /// `distance_scheduling` is set it wins over `corpus.policy` for
-    /// backward compatibility.
+    /// bit-identical to the historical per-campaign corpus;
+    /// [`SchedulePolicy::Distance`] weights up entries whose coverage
+    /// sits close (over the interval-pruned CFG, see
+    /// [`snowplow_analysis::PrunedCfg`]) to an uncovered frontier block.
     pub corpus: CorpusConfig,
 }
 
@@ -154,8 +133,6 @@ impl Default for CampaignConfig {
             exec: ExecConfig::default(),
             max_pending_predictions: 8,
             guided_use_multiplier: 4,
-            hot_caches: true,
-            distance_scheduling: false,
             corpus: CorpusConfig::default(),
         }
     }
@@ -248,14 +225,6 @@ impl CampaignConfigBuilder {
         self
     }
 
-    /// Shorthand for setting `exec.compiled`: `true` (the default) runs
-    /// programs through the compiled executor, `false` pins the
-    /// reference interpreter. Reports are bit-identical either way.
-    pub fn compiled(mut self, on: bool) -> Self {
-        self.cfg.exec.compiled = on;
-        self
-    }
-
     pub fn max_pending_predictions(mut self, n: usize) -> Self {
         self.cfg.max_pending_predictions = n;
         self
@@ -263,16 +232,6 @@ impl CampaignConfigBuilder {
 
     pub fn guided_use_multiplier(mut self, n: usize) -> Self {
         self.cfg.guided_use_multiplier = n;
-        self
-    }
-
-    pub fn hot_caches(mut self, on: bool) -> Self {
-        self.cfg.hot_caches = on;
-        self
-    }
-
-    pub fn distance_scheduling(mut self, on: bool) -> Self {
-        self.cfg.distance_scheduling = on;
         self
     }
 
@@ -414,8 +373,8 @@ impl<'k> Campaign<'k> {
 /// the bookkeeping counters. The hot-loop caches (frontier lists,
 /// prediction memo, coverage epoch) are deliberately *not* state: they
 /// are pure functions of this state (DESIGN.md §8), rebuilt cold on
-/// restore with no observable effect — the same property the
-/// `hot_caches` golden test proves.
+/// restore with no observable effect — the property the fleet resume
+/// goldens prove.
 #[derive(Debug, Clone)]
 pub struct CampaignState {
     /// The campaign RNG, at its current stream position.
@@ -423,7 +382,7 @@ pub struct CampaignState {
     /// Virtual clock.
     pub clock: VirtualClock,
     /// Corpus, including any distance-scheduling weights.
-    pub corpus: Corpus,
+    pub corpus: CorpusHandle,
     /// Global edge coverage.
     pub edges: EdgeSet,
     /// Global block coverage.
@@ -484,17 +443,6 @@ pub struct RunningCampaign<'k> {
     wanted_buf: Vec<BlockId>,
 }
 
-/// The effective seed-selection policy: the legacy `distance_scheduling`
-/// flag wins over `corpus.policy`, so pre-store configurations keep
-/// their exact behavior.
-fn effective_policy(config: &CampaignConfig) -> SchedulePolicy {
-    if config.distance_scheduling {
-        SchedulePolicy::Distance
-    } else {
-        config.corpus.policy
-    }
-}
-
 /// Top-K localization: everything above the threshold, padded to at
 /// least `top_k` by rank (the paper's PMM outputs a set whose size
 /// scales the mutation budget).
@@ -517,18 +465,13 @@ impl<'k> RunningCampaign<'k> {
         // All campaign metrics are recorded from the sequential parts of
         // the loop with virtual-clock timestamps, so the snapshot is a
         // pure function of (kernel, config, seed): identical at any
-        // worker count, with `hot_caches` on or off, and across a
-        // checkpoint/resume boundary.
+        // worker count and across a checkpoint/resume boundary.
         let telemetry = config.exec.telemetry.clone();
         let exec_cost =
             Duration::from_secs_f64(config.exec_cost.as_secs_f64() / config.speed_factor);
         let generator = Generator::new(kernel.registry());
         let mutator = Mutator::new(kernel.registry());
-        let vm = if config.exec.compiled {
-            Vm::new(kernel)
-        } else {
-            Vm::interpreted(kernel)
-        };
+        let vm = Vm::new(kernel);
         let snapshot = vm.snapshot();
 
         // Blocks no mutation can ever reach (statically-unsatisfiable
@@ -539,36 +482,35 @@ impl<'k> RunningCampaign<'k> {
         let analysis_cache = snowplow_analysis::AnalysisCache::shared();
         let dead_blocks = analysis_cache.dead_blocks(kernel);
 
-        // Static distance scheduling (flag-gated): the interval-pruned
-        // CFG and the interval-infeasible block set (a superset of
+        // Static distance scheduling (Distance policy): the
+        // interval-pruned CFG and the interval-infeasible block set (a superset of
         // `dead_blocks`) drive distance-to-frontier corpus weights. The
         // fresh path records the fetch as an Analyze span (the clock is
         // at zero, so the span is zero-width); a restore must *not*
         // re-record it — the span was already recorded before the
         // checkpoint was taken.
         let restoring = state.is_some();
-        let sched_inputs =
-            matches!(effective_policy(&config), SchedulePolicy::Distance).then(|| {
-                if restoring {
-                    (
-                        analysis_cache.infeasible_blocks(kernel),
-                        analysis_cache.pruned_cfg(kernel),
-                    )
-                } else {
-                    let span = telemetry.span_at(Phase::Analyze, Duration::ZERO);
-                    let infeasible = analysis_cache.infeasible_blocks(kernel);
-                    let pruned = analysis_cache.pruned_cfg(kernel);
-                    span.finish(&telemetry, Duration::ZERO);
-                    (infeasible, pruned)
-                }
-            });
+        let sched_inputs = matches!(config.corpus.policy, SchedulePolicy::Distance).then(|| {
+            if restoring {
+                (
+                    analysis_cache.infeasible_blocks(kernel),
+                    analysis_cache.pruned_cfg(kernel),
+                )
+            } else {
+                let span = telemetry.span_at(Phase::Analyze, Duration::ZERO);
+                let infeasible = analysis_cache.infeasible_blocks(kernel);
+                let pruned = analysis_cache.pruned_cfg(kernel);
+                span.finish(&telemetry, Duration::ZERO);
+                (infeasible, pruned)
+            }
+        });
 
         let mut st = state.unwrap_or_else(|| CampaignState {
             rng: StdRng::seed_from_u64(config.seed),
             clock: VirtualClock::new(),
             corpus: match &config.corpus.shared {
-                Some(store) => Corpus::attached(store.clone()),
-                None => Corpus::new(),
+                Some(store) => CorpusHandle::attached(store.clone()),
+                None => CorpusHandle::new(),
             },
             edges: EdgeSet::new(),
             blocks: Coverage::new(),
@@ -743,16 +685,11 @@ impl<'k> RunningCampaign<'k> {
         let master = self.config.seed;
         let generator = &self.generator;
         let seed_span = self.telemetry.span_at(Phase::SeedGen, self.st.clock.now());
-        let compiled = self.config.exec.compiled;
         let seed_runs = self.config.exec.map(
             "campaign.seed_corpus",
             (0..self.config.seed_corpus).collect(),
             || {
-                let vm = if compiled {
-                    Vm::new(kernel)
-                } else {
-                    Vm::interpreted(kernel)
-                };
+                let vm = Vm::new(kernel);
                 let snap = vm.snapshot();
                 (vm, snap)
             },
@@ -870,7 +807,6 @@ impl<'k> RunningCampaign<'k> {
         let mut kind = std::mem::replace(&mut self.kind, FuzzerKind::Syzkaller);
         match &mut kind {
             FuzzerKind::Syzkaller => self.baseline_iteration(base_idx),
-            FuzzerKind::Snowplow { model } => self.snowplow_iteration(&mut **model, base_idx),
             FuzzerKind::SnowplowShared { client } => {
                 self.snowplow_iteration(&mut **client, base_idx)
             }
@@ -928,17 +864,17 @@ impl<'k> RunningCampaign<'k> {
         new_edges
     }
 
-    // Seed scheduling, dispatched on the effective policy. Whenever the
+    // Seed scheduling, dispatched on `corpus.policy`. Whenever the
     // corpus or global block coverage changed, the policy's
     // [`SeedScheduler`](snowplow_corpus::SeedScheduler) recomputes
     // per-entry override weights (or `None` for plain contribution
-    // weighting). The Distance arm — the legacy `distance_scheduling`
-    // path — is kept telemetry- and weight-identical to the
-    // pre-redesign code: static distance over the interval-pruned CFG
-    // from each entry's coverage to the nearest uncovered, feasible
-    // frontier block, contribution weight as the tiebreak.
+    // weighting). The Distance arm is kept telemetry- and
+    // weight-identical to the pre-redesign code: static distance over
+    // the interval-pruned CFG from each entry's coverage to the nearest
+    // uncovered, feasible frontier block, contribution weight as the
+    // tiebreak.
     fn maybe_recompute_schedule(&mut self) {
-        match effective_policy(&self.config) {
+        match self.config.corpus.policy {
             SchedulePolicy::Distance => self.recompute_distance_schedule(),
             SchedulePolicy::Uniform => {
                 if self.st.sched_len == self.st.corpus.len() {
@@ -1048,7 +984,7 @@ impl<'k> RunningCampaign<'k> {
     // nothing to target, no mutable sites — exactly the error surface of
     // the live inference service; every declination degrades to the
     // stock random localizer. The model is any [`InferenceClient`]: the
-    // owned in-process PMM or a tagged handle to a shared service.
+    // in-process PMM or a tagged handle to a shared service.
     fn try_submit_query(
         &mut self,
         model: &mut dyn InferenceClient,
@@ -1073,53 +1009,35 @@ impl<'k> RunningCampaign<'k> {
             self.blocks_at_epoch = self.st.blocks.len();
         }
         self.wanted_buf.clear();
-        if self.config.hot_caches {
-            let ent = self.frontier_cache.entry(base_idx).or_insert_with(|| {
-                let entry = self.st.corpus.entry(base_idx);
-                let eligible: Vec<BlockId> = self
-                    .kernel
-                    .cfg()
-                    .alternative_entries(&entry.coverage)
-                    .into_iter()
-                    .filter(|b| {
-                        !self.dead_blocks.contains(b)
-                            && self.kernel.cfg().arg_gated(self.kernel.blocks(), *b)
-                    })
-                    .collect();
-                EntryFrontier {
-                    eligible,
-                    epoch: u64::MAX,
-                    wanted: Vec::new(),
-                }
-            });
-            if ent.epoch != self.epoch {
-                ent.wanted.clear();
-                ent.wanted.extend(
-                    ent.eligible
-                        .iter()
-                        .copied()
-                        .filter(|b| !self.st.blocks.contains(*b)),
-                );
-                ent.epoch = self.epoch;
-            }
-            self.wanted_buf.extend_from_slice(&ent.wanted);
-        } else {
+        let ent = self.frontier_cache.entry(base_idx).or_insert_with(|| {
             let entry = self.st.corpus.entry(base_idx);
-            self.wanted_buf.extend(
-                self.kernel
-                    .cfg()
-                    .alternative_entries(&entry.coverage)
-                    .into_iter()
-                    .filter(|b| {
-                        !self.st.blocks.contains(*b)
-                            && !self.dead_blocks.contains(b)
-                            && self.kernel.cfg().arg_gated(self.kernel.blocks(), *b)
-                    }),
+            let eligible: Vec<BlockId> = self
+                .kernel
+                .cfg()
+                .alternative_entries(&entry.coverage)
+                .into_iter()
+                .filter(|b| {
+                    !self.dead_blocks.contains(b)
+                        && self.kernel.cfg().arg_gated(self.kernel.blocks(), *b)
+                })
+                .collect();
+            EntryFrontier {
+                eligible,
+                epoch: u64::MAX,
+                wanted: Vec::new(),
+            }
+        });
+        if ent.epoch != self.epoch {
+            ent.wanted.clear();
+            ent.wanted.extend(
+                ent.eligible
+                    .iter()
+                    .copied()
+                    .filter(|b| !self.st.blocks.contains(*b)),
             );
+            ent.epoch = self.epoch;
         }
-        // Recorded at the point where both cache paths hold the
-        // identical wanted set, so a snapshot cannot tell `hot_caches`
-        // on from off.
+        self.wanted_buf.extend_from_slice(&ent.wanted);
         self.telemetry.phase(Phase::FrontierQuery, 0);
         self.telemetry
             .observe("frontier.wanted_blocks", self.wanted_buf.len() as u64);
@@ -1130,39 +1048,28 @@ impl<'k> RunningCampaign<'k> {
         }
         self.wanted_buf.shuffle(&mut self.st.rng);
         self.wanted_buf.truncate(self.config.targets_per_query);
-        let locs = if self.config.hot_caches {
-            // The graph (and therefore the ranked prediction) depends
-            // only on the entry and the target *set* — `QueryGraph::
-            // build` reads targets through a set — so a sorted key
-            // memoizes exactly.
-            let mut key = self.wanted_buf.clone();
-            key.sort_unstable();
-            if self.pred_memo.len() >= PRED_MEMO_CAP {
-                self.pred_memo.clear();
+        // The graph (and therefore the ranked prediction) depends only on
+        // the entry and the target *set* — `QueryGraph::build` reads
+        // targets through a set — so a sorted key memoizes exactly.
+        let mut key = self.wanted_buf.clone();
+        key.sort_unstable();
+        if self.pred_memo.len() >= PRED_MEMO_CAP {
+            self.pred_memo.clear();
+        }
+        let locs = match self.pred_memo.entry((base_idx, key)) {
+            std::collections::hash_map::Entry::Occupied(hit) => hit.get().clone(),
+            std::collections::hash_map::Entry::Vacant(slot) => {
+                let entry = self.st.corpus.entry(base_idx);
+                let graph =
+                    QueryGraph::build(self.kernel, &entry.prog, &entry.exec, &self.wanted_buf);
+                let locs = rank(
+                    model.predict(&graph)?,
+                    self.config.threshold,
+                    self.config.top_k,
+                );
+                slot.insert(locs.clone());
+                locs
             }
-            match self.pred_memo.entry((base_idx, key)) {
-                std::collections::hash_map::Entry::Occupied(hit) => hit.get().clone(),
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    let entry = self.st.corpus.entry(base_idx);
-                    let graph =
-                        QueryGraph::build(self.kernel, &entry.prog, &entry.exec, &self.wanted_buf);
-                    let locs = rank(
-                        model.predict(&graph)?,
-                        self.config.threshold,
-                        self.config.top_k,
-                    );
-                    slot.insert(locs.clone());
-                    locs
-                }
-            }
-        } else {
-            let entry = self.st.corpus.entry(base_idx);
-            let graph = QueryGraph::build(self.kernel, &entry.prog, &entry.exec, &self.wanted_buf);
-            rank(
-                model.predict(&graph)?,
-                self.config.threshold,
-                self.config.top_k,
-            )
         };
         // `rank` keeps at least one location whenever the graph had
         // candidates, so an empty set means the base has no mutable
@@ -1290,7 +1197,7 @@ impl<'k> RunningCampaign<'k> {
 impl CampaignReport {
     /// Byte-exact serialization of everything a report contains
     /// (timeline, summary counters, attribution, crash log including
-    /// witnesses), so golden tests — hot-cache equivalence here, the
+    /// witnesses), so golden tests — the corpus hash goldens, the
     /// fleet checkpoint/resume goldens — compare reports
     /// *byte-identically* with one string equality.
     pub fn fingerprint(&self) -> String {
@@ -1349,6 +1256,7 @@ impl CampaignReport {
 #[cfg(test)]
 mod tests {
     use snowplow_kernel::KernelVersion;
+    use snowplow_pmm::model::Pmm;
 
     use super::*;
 
@@ -1411,21 +1319,24 @@ mod tests {
         }
     }
 
-    #[test]
-    fn snowplow_mode_runs_and_queries_the_model() {
-        let kernel = Kernel::build(KernelVersion::V6_8);
-        let model = Pmm::new(
+    fn mk_model(kernel: &Kernel) -> Box<Pmm> {
+        Box::new(Pmm::new(
             snowplow_pmm::model::PmmConfig {
                 dim: 16,
                 rounds: 1,
                 ..Default::default()
             },
             kernel.registry().syscall_count(),
-        );
+        ))
+    }
+
+    #[test]
+    fn snowplow_mode_runs_and_queries_the_model() {
+        let kernel = Kernel::build(KernelVersion::V6_8);
         let report = Campaign::new(
             &kernel,
-            FuzzerKind::Snowplow {
-                model: Box::new(model),
+            FuzzerKind::SnowplowShared {
+                client: mk_model(&kernel),
             },
             short_config(3),
         )
@@ -1435,175 +1346,40 @@ mod tests {
     }
 
     #[test]
-    fn hot_caches_preserve_reports_bit_identically() {
+    fn distance_policy_makes_progress() {
+        // The Distance policy reweights seed selection; it must never
+        // starve the loop: the campaign still spends the default
+        // policy's virtual budget and keeps finding coverage.
         let kernel = Kernel::build(KernelVersion::V6_8);
-        let mk_model = || {
-            Pmm::new(
-                snowplow_pmm::model::PmmConfig {
-                    dim: 16,
-                    rounds: 1,
-                    ..Default::default()
-                },
-                kernel.registry().syscall_count(),
-            )
-        };
         for seed in [5u64, 9] {
             for snowplow in [false, true] {
-                let run = |hot: bool| {
+                let run = |policy: SchedulePolicy| {
                     let cfg = CampaignConfig {
                         duration: Duration::from_secs(600),
                         sample_every: Duration::from_secs(60),
-                        hot_caches: hot,
+                        corpus: CorpusConfig::builder().policy(policy).build(),
                         ..short_config(seed)
                     };
                     let kind = if snowplow {
-                        FuzzerKind::Snowplow {
-                            model: Box::new(mk_model()),
+                        FuzzerKind::SnowplowShared {
+                            client: mk_model(&kernel),
                         }
                     } else {
                         FuzzerKind::Syzkaller
                     };
                     Campaign::new(&kernel, kind, cfg).run()
                 };
-                let cached = run(true);
-                let uncached = run(false);
-                assert_eq!(
-                    cached.fingerprint(),
-                    uncached.fingerprint(),
-                    "seed={seed} snowplow={snowplow}"
-                );
-                if snowplow {
-                    assert!(cached.inferences > 0, "seed={seed}: model was queried");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn compiled_executor_preserves_reports_and_telemetry_bit_identically() {
-        // The compiled executor is a pure speed substitution: with it on
-        // or off, the campaign report fingerprint AND the full metrics
-        // snapshot must match bit for bit, for both fuzzer kinds.
-        let kernel = Kernel::build(KernelVersion::V6_8);
-        let mk_model = || {
-            Pmm::new(
-                snowplow_pmm::model::PmmConfig {
-                    dim: 16,
-                    rounds: 1,
-                    ..Default::default()
-                },
-                kernel.registry().syscall_count(),
-            )
-        };
-        for seed in [5u64, 9] {
-            for snowplow in [false, true] {
-                let run = |compiled: bool| {
-                    let (telemetry, _sink) = Telemetry::in_memory();
-                    let cfg = CampaignConfig {
-                        duration: Duration::from_secs(600),
-                        sample_every: Duration::from_secs(60),
-                        ..short_config(seed)
-                    };
-                    let cfg = CampaignConfig {
-                        exec: cfg
-                            .exec
-                            .with_telemetry(telemetry.clone())
-                            .with_compiled(compiled),
-                        ..cfg
-                    };
-                    let kind = if snowplow {
-                        FuzzerKind::Snowplow {
-                            model: Box::new(mk_model()),
-                        }
-                    } else {
-                        FuzzerKind::Syzkaller
-                    };
-                    let report = Campaign::new(&kernel, kind, cfg).run();
-                    (report, telemetry.snapshot().to_jsonl())
-                };
-                let (compiled, compiled_tel) = run(true);
-                let (interp, interp_tel) = run(false);
-                assert_eq!(
-                    compiled.fingerprint(),
-                    interp.fingerprint(),
-                    "seed={seed} snowplow={snowplow}"
-                );
-                assert_eq!(compiled_tel, interp_tel, "seed={seed} snowplow={snowplow}");
-                // A healthy run never hits the CFG step cap, so the
-                // counter must be absent from the snapshot entirely.
+                let default = run(SchedulePolicy::default());
+                let distance = run(SchedulePolicy::Distance);
                 assert!(
-                    !compiled_tel.contains("exec.cfg_cap_hit"),
-                    "cap-hit counter leaked into a healthy run"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn distance_scheduling_off_is_bit_identical_and_on_makes_progress() {
-        let kernel = Kernel::build(KernelVersion::V6_8);
-        let mk_model = || {
-            Pmm::new(
-                snowplow_pmm::model::PmmConfig {
-                    dim: 16,
-                    rounds: 1,
-                    ..Default::default()
-                },
-                kernel.registry().syscall_count(),
-            )
-        };
-        for seed in [5u64, 9] {
-            for snowplow in [false, true] {
-                let run = |sched: bool| {
-                    let cfg = CampaignConfig {
-                        duration: Duration::from_secs(600),
-                        sample_every: Duration::from_secs(60),
-                        distance_scheduling: sched,
-                        ..short_config(seed)
-                    };
-                    let kind = if snowplow {
-                        FuzzerKind::Snowplow {
-                            model: Box::new(mk_model()),
-                        }
-                    } else {
-                        FuzzerKind::Syzkaller
-                    };
-                    Campaign::new(&kernel, kind, cfg).run()
-                };
-                // Explicit `false` must be byte-identical to the default
-                // config: the scheduler is pay-for-what-you-enable.
-                let default_cfg = Campaign::new(
-                    &kernel,
-                    if snowplow {
-                        FuzzerKind::Snowplow {
-                            model: Box::new(mk_model()),
-                        }
-                    } else {
-                        FuzzerKind::Syzkaller
-                    },
-                    CampaignConfig {
-                        duration: Duration::from_secs(600),
-                        sample_every: Duration::from_secs(60),
-                        ..short_config(seed)
-                    },
-                )
-                .run();
-                let off = run(false);
-                assert_eq!(
-                    off.fingerprint(),
-                    default_cfg.fingerprint(),
-                    "seed={seed} snowplow={snowplow}"
-                );
-                // Enabled, the campaign still runs to the deadline and
-                // keeps finding coverage — the scheduler reweights, it
-                // never starves the loop.
-                let on = run(true);
-                assert!(
-                    on.final_edges > 300,
+                    distance.final_edges > 300,
                     "seed={seed} snowplow={snowplow}: edges {}",
-                    on.final_edges
+                    distance.final_edges
                 );
-                assert_eq!(on.execs, off.execs, "same virtual budget spent");
+                assert_eq!(
+                    distance.execs, default.execs,
+                    "seed={seed} snowplow={snowplow}: same virtual budget spent"
+                );
             }
         }
     }

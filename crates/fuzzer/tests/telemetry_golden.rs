@@ -2,8 +2,8 @@
 //!
 //! The contract: a seeded campaign drained into an [`InMemorySink`]
 //! renders the *byte-identical* metric snapshot no matter how many pool
-//! workers run it and whether the hot-loop caches are on — and enabling
-//! telemetry at all must not perturb the campaign report.
+//! workers run it — and enabling telemetry at all must not perturb the
+//! campaign report.
 
 use std::time::Duration;
 
@@ -23,26 +23,25 @@ fn model(kernel: &Kernel) -> Box<Pmm> {
     ))
 }
 
-fn config(telemetry: Telemetry, workers: usize, hot_caches: bool) -> CampaignConfig {
+fn config(telemetry: Telemetry, workers: usize) -> CampaignConfig {
     CampaignConfig::builder()
         .duration(Duration::from_secs(1200))
         .sample_every(Duration::from_secs(120))
         .seed_corpus(20)
         .seed(5)
         .workers(workers)
-        .hot_caches(hot_caches)
         .telemetry(telemetry)
         .build()
 }
 
-fn run(kernel: &Kernel, workers: usize, hot_caches: bool) -> (String, CampaignReport) {
+fn run(kernel: &Kernel, workers: usize) -> (String, CampaignReport) {
     let (telemetry, sink) = Telemetry::in_memory();
     let report = Campaign::new(
         kernel,
-        FuzzerKind::Snowplow {
-            model: model(kernel),
+        FuzzerKind::SnowplowShared {
+            client: model(kernel),
         },
-        config(telemetry, workers, hot_caches),
+        config(telemetry, workers),
     )
     .run();
     let snap = sink.last().expect("campaign flushed a snapshot");
@@ -77,20 +76,23 @@ fn report_fingerprint(r: &CampaignReport) -> String {
 }
 
 #[test]
-fn snapshots_are_bit_identical_across_workers_and_caches() {
+fn snapshots_are_bit_identical_across_workers() {
     let kernel = Kernel::build(KernelVersion::V6_8);
-    let (golden, golden_report) = run(&kernel, 1, true);
+    let (golden, golden_report) = run(&kernel, 1);
     assert!(!golden.is_empty());
-    for (workers, hot_caches) in [(2, true), (8, true), (1, false), (8, false)] {
-        let (snap, report) = run(&kernel, workers, hot_caches);
-        assert_eq!(
-            golden, snap,
-            "snapshot drifted at workers={workers} hot_caches={hot_caches}"
-        );
+    // A healthy run never hits the per-call CFG step cap, so the
+    // counter must be absent from the snapshot entirely.
+    assert!(
+        !golden.contains("exec.cfg_cap_hit"),
+        "cap-hit counter leaked into a healthy run"
+    );
+    for workers in [2, 8] {
+        let (snap, report) = run(&kernel, workers);
+        assert_eq!(golden, snap, "snapshot drifted at workers={workers}");
         assert_eq!(
             report_fingerprint(&golden_report),
             report_fingerprint(&report),
-            "report drifted at workers={workers} hot_caches={hot_caches}"
+            "report drifted at workers={workers}"
         );
     }
 }
@@ -101,10 +103,10 @@ fn snapshot_carries_the_phase_profile() {
     let (telemetry, sink) = Telemetry::in_memory();
     let report = Campaign::new(
         &kernel,
-        FuzzerKind::Snowplow {
-            model: model(&kernel),
+        FuzzerKind::SnowplowShared {
+            client: model(&kernel),
         },
-        config(telemetry, 1, true),
+        config(telemetry, 1),
     )
     .run();
     let snap = sink.last().expect("flushed");
@@ -153,13 +155,13 @@ fn telemetry_is_invisible_to_the_campaign() {
     let kernel = Kernel::build(KernelVersion::V6_8);
     let silent = Campaign::new(
         &kernel,
-        FuzzerKind::Snowplow {
-            model: model(&kernel),
+        FuzzerKind::SnowplowShared {
+            client: model(&kernel),
         },
-        config(Telemetry::disabled(), 1, true),
+        config(Telemetry::disabled(), 1),
     )
     .run();
-    let (_, instrumented) = run(&kernel, 1, true);
+    let (_, instrumented) = run(&kernel, 1);
     assert_eq!(
         report_fingerprint(&silent),
         report_fingerprint(&instrumented),

@@ -44,7 +44,6 @@ pub mod asm;
 pub mod block;
 pub mod bugs;
 pub mod cfg;
-pub mod compile;
 pub mod coverage;
 pub mod handlergen;
 pub mod kernel;
@@ -57,7 +56,6 @@ pub use asm::Tok;
 pub use block::{BasicBlock, BlockId, Effect, HandlerCfg, Terminator};
 pub use bugs::{BugId, BugInfo, BugRegistry, CrashCategory};
 pub use cfg::StaticCfg;
-pub use compile::{CompileCache, CompileStats, CompiledKernel};
 pub use coverage::{Coverage, Edge, EdgeSet};
 pub use handlergen::HandlerGenConfig;
 pub use kernel::{BugPlan, Kernel};

@@ -115,6 +115,11 @@ impl Predicate {
     /// Evaluates the predicate against a call, the kernel state, and a
     /// resource resolver (mapping a call-relative [`ResSource`] to a live
     /// [`Handle`], if the producing call succeeded).
+    ///
+    /// A path that does not resolve in the program's actual structure
+    /// (NULL pointer, inactive union variant, missing field) evaluates
+    /// to `false` — the structure gate. Structural absence does not
+    /// count as a NULL pointer.
     pub fn eval(
         &self,
         call: &Call,
@@ -122,88 +127,36 @@ impl Predicate {
         resolve: &dyn Fn(ResSource) -> Option<Handle>,
     ) -> bool {
         match self {
-            Predicate::ArgEq { path, value } => eval::int_eq(call.view_at(path), *value),
+            Predicate::ArgEq { path, value } => {
+                matches!(call.view_at(path), Some(ArgView::Int(v)) if v == *value)
+            }
             Predicate::ArgMaskEq { path, mask, value } => {
-                eval::int_mask_eq(call.view_at(path), *mask, *value)
+                matches!(call.view_at(path), Some(ArgView::Int(v)) if v & mask == *value)
             }
             Predicate::ArgInRange { path, lo, hi } => {
-                eval::int_in_range(call.view_at(path), *lo, *hi)
+                matches!(call.view_at(path), Some(ArgView::Int(v)) if (*lo..=*hi).contains(&v))
             }
-            Predicate::DataLenGt { path, len } => eval::data_len_gt(call.view_at(path), *len),
-            Predicate::IsNull { path } => eval::is_null(call.view_at(path)),
-            Predicate::NotNull { path } => eval::not_null(call.view_at(path)),
-            Predicate::UnionIs { path, variant } => eval::union_is(call.view_at(path), *variant),
-            Predicate::ResValid { path, kind } => {
-                eval::res_valid(call.view_at(path), *kind, state, resolve)
+            Predicate::DataLenGt { path, len } => {
+                matches!(call.view_at(path), Some(ArgView::Data(d)) if (d.len() as u64) > *len)
             }
+            Predicate::IsNull { path } => {
+                matches!(call.view_at(path), Some(ArgView::Ptr { is_null: true }))
+            }
+            Predicate::NotNull { path } => {
+                matches!(call.view_at(path), Some(ArgView::Ptr { is_null: false }))
+            }
+            Predicate::UnionIs { path, variant } => {
+                matches!(call.view_at(path), Some(ArgView::Union { variant: v }) if v == *variant)
+            }
+            Predicate::ResValid { path, kind } => match call.view_at(path) {
+                Some(ArgView::Res(src)) => {
+                    resolve(src).is_some_and(|h| state.resource_valid(h, *kind))
+                }
+                _ => false,
+            },
             Predicate::StateCounterGe { var, value } => state.counter(*var) >= *value,
             Predicate::StateFlag { var } => state.flag(*var),
             Predicate::Poisoned => state.is_poisoned(),
-        }
-    }
-}
-
-/// The comparison semantics of every argument-reading predicate, shared
-/// by the interpreting [`Predicate::eval`] above and the compiled
-/// executor's flat opcodes ([`crate::compile`]). Keeping one definition
-/// per comparison is what makes the compiled form's bit-identical-result
-/// guarantee an argument about *control flow only*: both executors agree
-/// on what each test means by construction, so equivalence reduces to
-/// both walking the same blocks in the same order.
-///
-/// All helpers take `Option<ArgView>`: a path that does not resolve in
-/// the program's actual structure (NULL pointer, inactive union variant,
-/// missing field) evaluates to `false` — the structure gate.
-pub(crate) mod eval {
-    use super::*;
-
-    #[inline]
-    pub(crate) fn int_eq(view: Option<ArgView<'_>>, value: u64) -> bool {
-        matches!(view, Some(ArgView::Int(v)) if v == value)
-    }
-
-    #[inline]
-    pub(crate) fn int_mask_eq(view: Option<ArgView<'_>>, mask: u64, value: u64) -> bool {
-        matches!(view, Some(ArgView::Int(v)) if v & mask == value)
-    }
-
-    #[inline]
-    pub(crate) fn int_in_range(view: Option<ArgView<'_>>, lo: u64, hi: u64) -> bool {
-        matches!(view, Some(ArgView::Int(v)) if (lo..=hi).contains(&v))
-    }
-
-    #[inline]
-    pub(crate) fn data_len_gt(view: Option<ArgView<'_>>, len: u64) -> bool {
-        matches!(view, Some(ArgView::Data(d)) if (d.len() as u64) > len)
-    }
-
-    /// Structural absence (e.g. pruned by an inactive union variant)
-    /// does not count as a NULL pointer.
-    #[inline]
-    pub(crate) fn is_null(view: Option<ArgView<'_>>) -> bool {
-        matches!(view, Some(ArgView::Ptr { is_null: true }))
-    }
-
-    #[inline]
-    pub(crate) fn not_null(view: Option<ArgView<'_>>) -> bool {
-        matches!(view, Some(ArgView::Ptr { is_null: false }))
-    }
-
-    #[inline]
-    pub(crate) fn union_is(view: Option<ArgView<'_>>, variant: u16) -> bool {
-        matches!(view, Some(ArgView::Union { variant: v }) if v == variant)
-    }
-
-    #[inline]
-    pub(crate) fn res_valid(
-        view: Option<ArgView<'_>>,
-        kind: ResourceId,
-        state: &KernelState,
-        resolve: impl Fn(ResSource) -> Option<Handle>,
-    ) -> bool {
-        match view {
-            Some(ArgView::Res(src)) => resolve(src).is_some_and(|h| state.resource_valid(h, kind)),
-            _ => false,
         }
     }
 }

@@ -8,13 +8,8 @@
 //! snapshot-per-test determinism discipline (§3.1): restoring before each
 //! execution guarantees identical traces for identical programs.
 //!
-//! Two executors produce that walk. [`Vm::new`] boots with the handler
-//! CFGs *compiled* to threaded code (see [`crate::compile`]; the
-//! translation is shared process-wide per kernel build), which is what
-//! every production loop runs. [`Vm::interpreted`] keeps the direct
-//! CFG interpreter selectable — the reference implementation the
-//! compiled form is tested bit-identical against, and the executor the
-//! `exec.compiled = false` campaign flag selects.
+//! The walk is a direct interpreter over the kernel's block table
+//! (DESIGN.md §12).
 
 use std::sync::Arc;
 
@@ -23,7 +18,6 @@ use snowplow_syslang::ArgPath;
 
 use crate::block::{BlockId, Effect, Terminator};
 use crate::bugs::{BugId, CrashCategory};
-use crate::compile::{CompileCache, CompiledKernel, RunOutcome};
 use crate::coverage::{Coverage, EdgeSet};
 use crate::kernel::Kernel;
 use crate::state::{Handle, KernelState};
@@ -33,7 +27,7 @@ use crate::state::{Handle, KernelState};
 /// Overflowing it is counted in [`Vm::take_cfg_cap_hits`] — and is a
 /// hard (debug-assertion) error under tests, where silent trace
 /// truncation would invalidate whatever the test measures.
-pub(crate) const MAX_BLOCKS_PER_CALL: usize = 4096;
+const MAX_BLOCKS_PER_CALL: usize = 4096;
 
 /// A crash observed during execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,9 +103,6 @@ pub struct Snapshot {
 #[derive(Debug)]
 pub struct Vm<'k> {
     kernel: &'k Kernel,
-    /// The threaded-code translation of the kernel's handlers, shared
-    /// process-wide. `None` selects the reference interpreter.
-    compiled: Option<Arc<CompiledKernel>>,
     state: KernelState,
     /// Scratch for the per-call produced-resource table, reused across
     /// executions.
@@ -125,27 +116,10 @@ pub struct Vm<'k> {
 }
 
 impl<'k> Vm<'k> {
-    /// Boots a pristine VM running the compiled executor (fetching the
-    /// kernel's translation from the process-wide [`CompileCache`]).
+    /// Boots a pristine VM.
     pub fn new(kernel: &'k Kernel) -> Self {
         Vm {
             kernel,
-            compiled: Some(CompileCache::shared().compiled(kernel)),
-            state: KernelState::new(),
-            produced_scratch: Vec::new(),
-            ct_spare: Vec::new(),
-            cfg_cap_hits: 0,
-        }
-    }
-
-    /// Boots a pristine VM running the direct CFG interpreter. Produces
-    /// results bit-identical to [`Vm::new`]'s — the `compiled_equiv`
-    /// golden pins that — just slower; it exists as the reference
-    /// executor and for the `exec.compiled = false` escape hatch.
-    pub fn interpreted(kernel: &'k Kernel) -> Self {
-        Vm {
-            kernel,
-            compiled: None,
             state: KernelState::new(),
             produced_scratch: Vec::new(),
             ct_spare: Vec::new(),
@@ -156,11 +130,6 @@ impl<'k> Vm<'k> {
     /// The kernel this VM runs.
     pub fn kernel(&self) -> &'k Kernel {
         self.kernel
-    }
-
-    /// Whether this VM dispatches through the compiled executor.
-    pub fn is_compiled(&self) -> bool {
-        self.compiled.is_some()
     }
 
     /// Drains the count of calls truncated by the per-call block cap
@@ -217,76 +186,14 @@ impl<'k> Vm<'k> {
         produced.clear();
         produced.resize(prog.len(), None);
 
-        if self.compiled.is_some() {
-            self.run_compiled(prog, out, &mut produced);
-        } else {
-            self.run_interpreted(prog, out, &mut produced);
-        }
+        self.run(prog, out, &mut produced);
 
         self.produced_scratch = produced;
     }
 
-    /// The compiled executor: per call, one dense instruction walk (see
-    /// [`crate::compile`]). Observable behavior is identical to
-    /// [`Vm::run_interpreted`]'s.
-    fn run_compiled(&mut self, prog: &Prog, out: &mut ExecResult, produced: &mut [Option<Handle>]) {
-        let ck = self
-            .compiled
-            .as_ref()
-            .expect("run_compiled requires a translation")
-            .clone();
-        'calls: for (ci, call) in prog.calls.iter().enumerate() {
-            let ch = ck.handler(call.def);
-            let mut ct = self.ct_spare.pop().unwrap_or_default();
-            let outcome = ch.run_call(
-                call,
-                &mut self.state,
-                produced,
-                &mut ct,
-                &mut out.trace,
-                &mut self.cfg_cap_hits,
-            );
-            match outcome {
-                RunOutcome::Crash {
-                    bug,
-                    description,
-                    category,
-                    block,
-                } => {
-                    out.crash = Some(CrashInfo {
-                        bug,
-                        description,
-                        category,
-                        call_index: ci,
-                        block,
-                    });
-                    out.call_traces.push(ct);
-                    break 'calls;
-                }
-                RunOutcome::Done { exited_ok } => {
-                    // Resource production: only a return through the
-                    // normal exit yields a resource (error exits model
-                    // failed producers).
-                    if exited_ok {
-                        if let Some(kind) = ch.ret_kind() {
-                            produced[ci] = Some(self.state.produce_resource(kind));
-                        }
-                    }
-                    out.completed_calls += 1;
-                    out.call_traces.push(ct);
-                }
-            }
-        }
-    }
-
-    /// The reference interpreter: per executed block, a global-table
-    /// lookup, a recursive predicate walk, and per-effect dispatch.
-    fn run_interpreted(
-        &mut self,
-        prog: &Prog,
-        out: &mut ExecResult,
-        produced: &mut [Option<Handle>],
-    ) {
+    /// The interpreter: per executed block, a block-table lookup, a
+    /// predicate evaluation, and per-effect dispatch.
+    fn run(&mut self, prog: &Prog, out: &mut ExecResult, produced: &mut [Option<Handle>]) {
         'calls: for (ci, call) in prog.calls.iter().enumerate() {
             let handler = self.kernel.handler(call.def);
             let mut cur = handler.entry;

@@ -1,18 +1,18 @@
 //! Pre-refactor campaign goldens for the corpus redesign.
 //!
 //! These FNV-1a 64 hashes of `CampaignReport::fingerprint()` were
-//! captured on the tree immediately before `crates/fuzzer/src/corpus.rs`
-//! was replaced by the `snowplow-corpus` store/handle split. A campaign
+//! captured on the tree immediately before the per-campaign corpus was
+//! replaced by the `snowplow-corpus` store/handle split. A campaign
 //! with a private store must reproduce them bit-for-bit: the handle's
 //! `choose`, the seed-corpus ingest order, the schedule-weight paths,
 //! and the report layout all feed the fingerprint, so any behavioral
-//! drift in the redesign shows up here first.
+//! drift in the loop, the corpus or the executor shows up here first.
+//! They run through the `snowplow_core` facade, as a user would.
 
 use std::time::Duration;
 
-use snowplow_fuzzer::{Campaign, CampaignConfig, FuzzerKind};
-use snowplow_kernel::{Kernel, KernelVersion};
-use snowplow_pmm::model::{Pmm, PmmConfig};
+use snowplow_core::fuzzing::{Campaign, CampaignConfig, CorpusConfig, FuzzerKind, SchedulePolicy};
+use snowplow_core::{Kernel, KernelVersion, Pmm, PmmConfig};
 
 fn fnv1a64(s: &str) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
@@ -57,8 +57,8 @@ fn private_store_campaigns_match_pre_refactor_hashes() {
         (9, true, 0x8dbebb1afe5f19ac),
     ] {
         let kind = if snowplow {
-            FuzzerKind::Snowplow {
-                model: Box::new(mk_model()),
+            FuzzerKind::SnowplowShared {
+                client: Box::new(mk_model()),
             }
         } else {
             FuzzerKind::Syzkaller
@@ -72,18 +72,22 @@ fn private_store_campaigns_match_pre_refactor_hashes() {
 }
 
 #[test]
-fn distance_scheduling_matches_pre_refactor_hash() {
+fn distance_policy_matches_pre_refactor_hash() {
     let kernel = Kernel::build(KernelVersion::V6_8);
     let config = CampaignConfig::builder()
         .duration(Duration::from_secs(600))
         .seed_corpus(20)
         .sample_every(Duration::from_secs(60))
-        .distance_scheduling(true)
+        .corpus(
+            CorpusConfig::builder()
+                .policy(SchedulePolicy::Distance)
+                .build(),
+        )
         .seed(5)
         .build();
     assert_eq!(
         run_hash(&kernel, FuzzerKind::Syzkaller, config),
         0xbf18c0516ae60641,
-        "distance-scheduling path diverged from the pre-refactor report"
+        "Distance policy diverged from the pre-refactor report"
     );
 }

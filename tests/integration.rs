@@ -35,8 +35,8 @@ fn end_to_end_pipeline_trains_and_fuzzes() {
     let base = Campaign::new(&kernel, FuzzerKind::Syzkaller, cfg.clone()).run();
     let snow = Campaign::new(
         &kernel,
-        FuzzerKind::Snowplow {
-            model: Box::new(model),
+        FuzzerKind::SnowplowShared {
+            client: Box::new(model),
         },
         cfg,
     )
@@ -56,8 +56,8 @@ fn model_trained_on_68_transfers_to_later_kernels() {
         let kernel = Kernel::build(version);
         let report = Campaign::new(
             &kernel,
-            FuzzerKind::Snowplow {
-                model: Box::new(model.clone()),
+            FuzzerKind::SnowplowShared {
+                client: Box::new(model.clone()),
             },
             CampaignConfig::builder()
                 .duration(Duration::from_secs(900))
